@@ -516,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="N",
             help="batched-enumeration block budget for the vectorized "
-            "backend: fall back to the scalar walk past N distinct "
+            "backend: use the scalar fan builder past N distinct "
             "(letter, live mask) layer contexts; 0 disables batching "
             "(default: the backend's built-in budget)",
         )

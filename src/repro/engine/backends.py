@@ -156,8 +156,8 @@ class EnumerationBackend(abc.ABC):
 
     #: Block budget for backends with a batched enumeration path: the
     #: maximum number of distinct ``(letter, live mask)`` layer contexts a
-    #: document may have before enumeration falls back to the scalar
-    #: walk; ``0`` disables batching, ``None`` keeps the backend default
+    #: document may have before enumeration switches to the scalar fan
+    #: builder; ``0`` disables batching, ``None`` keeps the backend default
     #: (:data:`repro.va.vectorized.DEFAULT_ENUM_BLOCK_SIZE`).  Set by the
     #: engine's ``enumeration_block_size`` knob / ``--enum-block``.
     enumeration_block_size: "int | None" = None

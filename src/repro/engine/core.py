@@ -224,16 +224,18 @@ class ExecutionContext:
             return
         prepared = self.prepared_for(doc)
         stats.documents += 1
+        # Graph construction (the Boolean forward pass) is the first stage
+        # of enumeration, not compilation: it is timed as enumerate time.
         start = time.perf_counter()
         try:
             run = prepared.run(doc, guard=guard)
         except ExecutionInterrupted as exc:
-            stats.compile_seconds += time.perf_counter() - start
+            stats.enumerate_seconds += time.perf_counter() - start
             self._sync_gauges(prepared)
             if self._absorb_trip(exc, guard):
                 return
             raise
-        stats.compile_seconds += time.perf_counter() - start
+        stats.enumerate_seconds += time.perf_counter() - start
         emitted = 0
         start = time.perf_counter()
         iterator = run.enumerate()
@@ -300,12 +302,9 @@ class ExecutionContext:
         stats.documents += 1
         start = time.perf_counter()
         try:
-            run = prepared.run(doc, guard=guard)
-            stats.compile_seconds += time.perf_counter() - start
-            start = time.perf_counter()
-            mapping = run.first()
-            stats.enumerate_seconds += time.perf_counter() - start
+            mapping = prepared.run(doc, guard=guard).first()
         except ExecutionInterrupted as exc:
+            stats.enumerate_seconds += time.perf_counter() - start
             # Decision calls have no partial prefix to degrade to, so a
             # trip always raises — partial mode only softens enumeration.
             self._sync_gauges(prepared)
@@ -313,6 +312,7 @@ class ExecutionContext:
             if exc.stats is None:
                 exc.stats = stats.snapshot()
             raise
+        stats.enumerate_seconds += time.perf_counter() - start
         if mapping is not None:
             stats.mappings += 1
         self._sync_gauges(prepared)
@@ -378,9 +378,10 @@ class Engine:
         enumeration_block_size: block budget for backends with a batched
             enumeration path (``vectorized``): the maximum number of
             distinct ``(letter, live mask)`` layer contexts a document
-            may have before enumeration falls back to the scalar walk.
-            ``0`` disables batching entirely (the equivalence escape
-            hatch); ``None`` keeps the backend default
+            may have before enumeration switches to the scalar fan
+            builder (same loop, same output).  ``0`` disables batching
+            entirely (the equivalence escape hatch); ``None`` keeps the
+            backend default
             (:data:`repro.va.vectorized.DEFAULT_ENUM_BLOCK_SIZE`).  The
             context cache is the memory cost — each context holds one
             edge-row set.  Ignored by backends without batching.

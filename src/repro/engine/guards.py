@@ -118,8 +118,13 @@ class Budget:
         mappings: maximum mappings emitted to the caller.
         states: maximum live match-graph states materialised (summed over
             every graph whose backward pass runs under the guard).
-        edge_rows: maximum enumeration edge rows / batched layer contexts
-            materialised.
+        edge_rows: maximum enumeration edge rows materialised.  The
+            unit is backend specific: on ``indexed`` (and the vectorized
+            scalar fan builder) one per distinct ``(letter, live mask,
+            state)`` row a graph builds — layers that reproduce a layer
+            context share its rows; on batched ``vectorized`` one per
+            option fan the walk builds (a miss in the kernel's
+            cross-document fan memo).
         cache_bytes: ceiling on the (estimated) bytes held by the
             vectorized kernel's frontier/batch caches — a gauge, not a
             cumulative charge.
@@ -324,7 +329,8 @@ class ExecutionGuard:
             self._budget_trip("states", budget.states)
 
     def charge_edge_rows(self, count: int = 1) -> None:
-        """Charge materialised enumeration edge rows / layer contexts."""
+        """Charge materialised enumeration edge rows (see
+        :attr:`Budget.edge_rows` for the per-backend unit)."""
         self.spent_edge_rows += count
         budget = self.budget
         if (

@@ -89,8 +89,13 @@ class EngineStats:
             (a hand-built backend instance the workers cannot recreate),
             ``query_shape`` (black-box atoms the shards cannot rebuild),
             or ``pickle: …`` (the payload probe failed to serialise).
-        compile_seconds: wall time spent compiling and preparing automata.
-        enumerate_seconds: wall time spent inside enumeration.
+        compile_seconds: wall time spent compiling and preparing automata:
+            plan compilation, per-document ad-hoc automata, and backend
+            preparation.
+        enumerate_seconds: wall time spent evaluating documents: building
+            each document's match graph (``prepared.run`` / tail
+            ``run_extended``) and running the enumeration or ``first()``
+            walk over it, plus the Boolean emptiness pass.
         states_explored: total live match-graph states across all runs.
     """
 

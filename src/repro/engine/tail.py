@@ -154,7 +154,7 @@ class TailSession:
         else:
             run = prepared.run(doc)
             stats.tail_recomputed_layers += n
-        stats.compile_seconds += time.perf_counter() - start
+        stats.enumerate_seconds += time.perf_counter() - start
         self._prepared = prepared
         self._run = run
         self._run_n = n

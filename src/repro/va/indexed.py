@@ -25,12 +25,19 @@ single-letter run through the :class:`~repro.va.kernel.TransitionKernel`
 in O(log run) memoized mask applications instead of O(run) per-letter
 steps, so construction cost scales with the number of *runs*, not letters.
 The per-layer forward masks, the backward co-reachability pruning, and the
-per-(layer, state) enumeration edge rows all materialise on demand — and
-the backward pass reuses the kernel's predecessor transformers with
-fixpoint fill inside runs.  The enumeration DFS and the dedicated
-:meth:`IndexedMatchGraph.first` walk additionally *skip* through stretches
-of a run where the profile is a fixpoint with only the empty operation set
-available, compressing long no-capture stretches to O(1) stack frames.
+enumeration edge rows all materialise on demand — and the backward pass
+reuses the kernel's predecessor transformers with fixpoint fill inside
+runs.
+
+Enumeration is :func:`enumerate_skip_index`, the one DFS shared by both
+bitmask backends (this one and :mod:`repro.va.vectorized`).  It is
+parameterised only by a *fan builder* — the canonical ``(opset, target)``
+choices of a profile at a layer — and hops over forced no-capture
+stretches through a path-compressed ``(layer, profile)`` skip index (the
+jump function of Florenzano et al., PODS 2018, and Amarilli et al.,
+ICDT 2019), so the delay between mappings is linear in the output, not in
+the document.  The dedicated :meth:`IndexedMatchGraph.first` walk keeps
+its own same-letter run-skip (:attr:`IndexedMatchGraph.jump`).
 ``compressed=False`` is the plain-kernel escape hatch (the pre-kernel
 per-letter behaviour, also exposed as the engine's ``indexed-plain``
 backend); ``eager=True`` additionally prebuilds every edge row up front.
@@ -280,6 +287,14 @@ def indexed_nonempty(
     return bool(mask & indexed.accept_mask)
 
 
+#: Entry cap of the forced-stretch skip index of
+#: :func:`enumerate_skip_index`: one entry per distinct ``(layer, profile)``
+#: pair inside a forced stretch, so the cap only trips when the DFS
+#: genuinely visits that many distinct pairs — at which point the index
+#: stops growing and the walk degrades to stepping, never to incorrectness.
+_SKIP_INDEX_LIMIT = 1 << 19
+
+
 def _mapping_from_entries(entries: "list[tuple[int, OpSet]]") -> Mapping:
     """Assemble a mapping from sparse ``(position, operation set)`` pairs
     in ascending position order — the run-skipping walks only record the
@@ -309,18 +324,22 @@ class IndexedMatchGraph:
     which already decides :attr:`is_empty`.  The per-layer forward masks
     and the backward pruning pass materialise on first access to
     :attr:`forward` / :attr:`alive` (with fixpoint fill inside letter
-    runs); enumeration edge rows are materialised per (layer, state) as
-    the DFS reaches them.  Pass ``compressed=False`` for the plain
-    per-letter kernel (the pre-kernel behaviour), ``eager=True`` to
-    prebuild everything up front (kept for the comparison benches and
-    equivalence tests).
+    runs).  Enumeration edge rows are materialised per *layer context*
+    ``(letter, live successor mask)`` and state as the DFS reaches them,
+    so every layer, run repetition, and re-visit that reproduces a context
+    shares one row; the option fans :func:`enumerate_skip_index` consumes
+    are assembled from those rows and memoised per ``(profile, letter,
+    live mask)``.  Pass ``compressed=False`` for the plain per-letter
+    kernel (the pre-kernel behaviour), ``eager=True`` to prebuild every
+    edge row up front (kept for the comparison benches and equivalence
+    tests).
 
     ``guard`` attaches an :class:`~repro.engine.guards.ExecutionGuard`:
     the forward/backward passes check it once per letter run (O(runs)
-    overhead, not O(positions)), the enumeration DFS ticks it per stack
-    frame, and every materialised edge row is charged against the
-    ``edge_rows`` budget.  With no guard every checkpoint is a single
-    ``is not None`` test.
+    overhead, not O(positions)), the enumeration DFS ticks it per layer
+    step and per skip-index step, and every materialised edge row is
+    charged against the ``edge_rows`` budget.  With no guard every
+    checkpoint is a single ``is not None`` test.
     """
 
     __slots__ = (
@@ -337,6 +356,9 @@ class IndexedMatchGraph:
         "_alive",
         "_jump",
         "_edges",
+        "_rows",
+        "_fans",
+        "_forced_skips",
         "_guard",
     )
 
@@ -351,11 +373,8 @@ class IndexedMatchGraph:
         self.indexed = indexed
         self.document = as_document(document)
         self._guard = guard
-        n = self._n = len(self.document)
-        self._letter_ids: tuple[int, ...] | None = None
-        self._forward: list[int] | None = None
-        self._alive: list[int] | None = None
-        self._jump: list[int] | None = None
+        n = len(self.document)
+        self._init_lazy(n)
         if compressed:
             # Boolean forward pass over the run-length encoding: each
             # maximal letter run advances through the kernel in O(log run).
@@ -405,11 +424,26 @@ class IndexedMatchGraph:
         self.final: dict[int, tuple[int, ...]] = {
             sid: accept[sid] for sid in iter_bits(final_mask)
         }
-        self._edges: list[dict[int, tuple[tuple[int, int], ...]] | None] = [
-            None
-        ] * n
         if eager:
             self.materialise()
+
+    def _init_lazy(self, n: int) -> None:
+        """Reset the on-demand layers and enumeration caches of a fresh
+        ``n``-letter graph (shared by every constructor path)."""
+        self._n = n
+        self._letter_ids: tuple[int, ...] | None = None
+        self._forward: list[int] | None = None
+        self._alive: list[int] | None = None
+        self._jump: list[int] | None = None
+        # _edges[layer] is the row dict of the layer's context in _rows:
+        # _rows[(letter, live mask)][sid] -> [(opset_id, live_target), ...].
+        self._edges: list[dict | None] = [None] * n
+        self._rows: dict = {}
+        # _fans[(profile, letter, live mask)] -> rank-sorted option fan.
+        self._fans: dict = {}
+        # _forced_skips[(layer, profile)] -> (layer, profile) of the next
+        # event past a forced no-capture stretch (enumerate_skip_index).
+        self._forced_skips: dict = {}
 
     @property
     def is_empty(self) -> bool:
@@ -443,10 +477,10 @@ class IndexedMatchGraph:
         checkpoint, already-materialised prefix forward layers are carried
         over, and an appended run that merges with the tail run advances
         through the kernel's memoized transformer powers in O(log extra).
-        The backward pruning, jump table, and enumeration edge rows are
-        *not* carried over — they are pruned against the final layer's
-        acceptance, which every append changes — and rebuild lazily over
-        the new document on demand.
+        The backward pruning, jump table, skip index, and enumeration edge
+        rows are *not* carried over — they are pruned against the final
+        layer's acceptance, which every append changes — and rebuild
+        lazily over the new document on demand.
 
         ``document`` must extend ``self.document`` letter for letter;
         callers (normally a tail session, via
@@ -467,11 +501,7 @@ class IndexedMatchGraph:
         graph.indexed = indexed
         graph.document = doc
         graph._guard = guard
-        graph._n = n
-        graph._letter_ids = None
-        graph._forward = None
-        graph._alive = None
-        graph._jump = None
+        graph._init_lazy(n)
         mask = self._frontier
         if self._runs is not None:
             # Run-compressed: splice the encoded runs (only the possibly
@@ -533,7 +563,6 @@ class IndexedMatchGraph:
         graph.final_mask = final_mask
         accept = indexed.accept
         graph.final = {sid: accept[sid] for sid in iter_bits(final_mask)}
-        graph._edges = [None] * n
         return graph
 
     @property
@@ -676,9 +705,8 @@ class IndexedMatchGraph:
         ``jump[i]`` is the last layer ``j ≥ i+1`` such that every layer in
         ``i..j-1`` reads the same letter and sees the same live mask at its
         successor layer — exactly the stretch whose per-position choices
-        repeat layer ``i``'s.  The walks consult it in O(1) per skip, so
-        skipping costs one backward sweep total instead of a rescan per
-        DFS descent."""
+        repeat layer ``i``'s.  :meth:`first` consults it in O(1) per skip,
+        so skipping costs one backward sweep total instead of a rescan."""
         jump = self._jump
         if jump is None:
             n = self._n
@@ -700,19 +728,29 @@ class IndexedMatchGraph:
         """Maximum number of live states in any layer."""
         return max((mask.bit_count() for mask in self.alive), default=0)
 
+    def _context_rows(self, layer: int) -> dict:
+        """The row dict of ``layer``'s context ``(letter, live successor
+        mask)``, shared by every layer that reproduces the context."""
+        rows = self._edges[layer]
+        if rows is None:
+            key = (self.letter_ids[layer], self.alive[layer + 1])
+            rows = self._edges[layer] = self._rows.setdefault(key, {})
+        return rows
+
     def edge_row(self, layer: int, sid: int) -> list[tuple[int, int]]:
         """The pruned macro transitions of live state ``sid`` at ``layer``
-        (``(opset_id, live_target_mask)`` pairs), built on first demand.
-        The returned list is the cache entry: treat it as immutable."""
-        cache = self._edges[layer]
-        if cache is None:
-            cache = self._edges[layer] = {}
-        row = cache.get(sid)
+        (``(opset_id, live_target_mask)`` pairs), built on first demand
+        per ``(letter, live mask, state)`` and charged once to the guard's
+        ``edge_rows`` budget.  The returned list is the cache entry: treat
+        it as immutable.  Rows keep the table's canonical opset order, so
+        a one-state profile's row is already its option fan."""
+        rows = self._context_rows(layer)
+        row = rows.get(sid)
         if row is None:
             if self._guard is not None:
                 self._guard.charge_edge_rows(1)
             live = self.alive[layer + 1]
-            row = cache[sid] = [
+            row = rows[sid] = [
                 (oid, target_mask & live)
                 for oid, target_mask in self.indexed.tables[self.letter_ids[layer]][sid]
                 if target_mask & live
@@ -730,110 +768,55 @@ class IndexedMatchGraph:
         for layer in range(self._n):
             self.edge_layer(layer)
 
-    def enumerate(self, limit: int | None = None) -> Iterator[Mapping]:
-        """DFS enumeration with polynomial delay (Theorem 2.5), bitmask
-        profiles and parent-pointer path reconstruction.
-
-        ``limit`` stops after that many mappings; the lazy edge rows mean a
-        small limit touches only the layers along the walked paths.  Inside
-        a letter run, a stretch where the only option is the empty
-        operation set on a fixpoint profile is *skipped* in one stack
-        frame — the per-position choices there are forced, so the DFS
-        records the repeat count instead of walking every layer.
-        """
-        if self.is_empty or (limit is not None and limit <= 0):
-            return
-        indexed = self.indexed
-        opsets, rank = indexed.opsets, indexed.opset_rank
-        empty_oid = indexed.empty_opset_id
-        n = self._n
-        final = self.final
-        alive = self.alive
-        jump = self.jump
-        tables = indexed.tables
-        letter_ids = self.letter_ids
-        edges = self._edges
+    def _fan(self, profile: int, letter_id: int, layer: int) -> tuple:
+        """The fan builder of :func:`enumerate_skip_index` over the int
+        bitmask tables: the distinct ``(opset_id, union live target)``
+        choices of ``profile`` at ``layer``, rank sorted, assembled from
+        the shared context rows and memoised per ``(profile, letter, live
+        mask)``."""
+        # Called only from enumerate_skip_index, after it materialised
+        # `alive`; the row build inlines edge_row (this is the hot path).
+        live = self._alive[layer + 1]
+        rows = self._edges[layer]
+        if rows is None:
+            rows = self._edges[layer] = self._rows.setdefault((letter_id, live), {})
+        row_table = self.indexed.tables[letter_id]
         guard = self._guard
-        emitted = 0
-        # Stack frames: (layer, profile mask, path node); a path node is
-        # (opset_id, repeat count, parent node) — reconstruction replaces
-        # per-push tuple copies of the whole prefix, and the repeat count
-        # encodes skipped run stretches.
-        stack: list[tuple[int, int, tuple | None]] = [
-            (0, 1 << indexed.initial_id, None)
-        ]
-        while stack:
-            if guard is not None:
-                guard.tick()
-            layer, profile, node = stack.pop()
-            if layer == n:
-                options_set: set[int] = set()
-                mask = profile
-                while mask:
-                    low = mask & -mask
-                    options_set.update(final.get(low.bit_length() - 1, ()))
-                    mask ^= low
-                # Sparse reconstruction: only skipped (empty) opsets carry
-                # a repeat count, so operating positions are exact.
-                entries: list[tuple[int, OpSet]] = []
-                position = n
-                while node is not None:
-                    oid, count, node = node
-                    ops = opsets[oid]
-                    if ops:
-                        entries.append((position, ops))
-                    position -= count
-                entries.reverse()
-                for oid in sorted(options_set, key=rank.__getitem__):
-                    final_ops = opsets[oid]
-                    yield _mapping_from_entries(
-                        entries + [(n + 1, final_ops)] if final_ops else entries
-                    )
-                    emitted += 1
-                    if limit is not None and emitted >= limit:
-                        return
-                continue
-            # Inlined edge_row: the per-layer row build is the hot loop.
-            cache = edges[layer]
-            if cache is None:
-                cache = edges[layer] = {}
-            row_table = tables[letter_ids[layer]]
-            live = alive[layer + 1]
-            options: dict[int, int] = {}
-            mask = profile
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                sid = low.bit_length() - 1
-                row = cache.get(sid)
-                if row is None:
-                    if guard is not None:
-                        guard.charge_edge_rows(1)
-                    row = cache[sid] = [
-                        (oid, target_mask & live)
-                        for oid, target_mask in row_table[sid]
-                        if target_mask & live
-                    ]
-                for oid, target_mask in row:
-                    prev = options.get(oid)
-                    options[oid] = target_mask if prev is None else prev | target_mask
-            if len(options) == 1:
-                # Single choice (the common layer in sparse documents):
-                # skip the canonical sort.
-                oid, target_mask = options.popitem()
-                if oid == empty_oid and target_mask == profile:
-                    # Run-skip: the profile is a fixpoint and the only
-                    # choice performs no operations, so every layer of the
-                    # precomputed stretch repeats this exact (forced) step
-                    # — jump past it in one frame.
-                    j = jump[layer]
-                    stack.append((j, profile, (oid, j - layer, node)))
-                else:
-                    stack.append((layer + 1, target_mask, (oid, 1, node)))
-            else:
-                # Reverse rank order so the DFS pops options canonically.
-                for oid in sorted(options, key=rank.__getitem__, reverse=True):
-                    stack.append((layer + 1, options[oid], (oid, 1, node)))
+        options = None
+        mask = profile
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            sid = low.bit_length() - 1
+            row = rows.get(sid)
+            if row is None:
+                if guard is not None:
+                    guard.charge_edge_rows(1)
+                row = rows[sid] = [
+                    (oid, target & live) for oid, target in row_table[sid] if target & live
+                ]
+            if options is None:
+                if not mask:
+                    fan = row  # one state: its row is already a rank-ordered fan
+                    break
+                options = {}
+            for oid, target in row:
+                prev = options.get(oid)
+                options[oid] = target if prev is None else prev | target
+        if options is not None:
+            rank = self.indexed.opset_rank
+            fan = tuple(sorted(options.items(), key=lambda kv: rank[kv[0]]))
+        self._fans[(profile, letter_id, live)] = fan
+        return fan
+
+    def enumerate(self, limit: int | None = None) -> Iterator[Mapping]:
+        """DFS enumeration with output-linear delay (Theorem 2.5 and the
+        jump function of the constant-delay literature): the shared
+        :func:`enumerate_skip_index` loop over the int-bitmask fans of
+        :meth:`_fan`.  ``limit`` stops after that many mappings; the lazy
+        rows mean a small limit touches only the contexts along the
+        walked paths."""
+        return enumerate_skip_index(self, self._fans, self._fan, limit)
 
     def first(self) -> Mapping | None:
         """The first mapping in canonical order, or ``None`` if empty —
@@ -842,8 +825,8 @@ class IndexedMatchGraph:
         A dedicated greedy walk: the DFS's first leaf is reached by taking
         the canonically-minimal operation set at every layer, so no stack,
         no generator frames, and no alternatives are ever pushed.  The
-        same run-skip as :meth:`enumerate` fast-forwards through forced
-        empty-opset stretches inside letter runs.
+        :attr:`jump` table fast-forwards through forced empty-opset
+        stretches inside letter runs.
         """
         if self.is_empty:
             return None
@@ -896,6 +879,157 @@ class IndexedMatchGraph:
         if final_ops:
             entries.append((n + 1, final_ops))
         return _mapping_from_entries(entries)
+
+
+def enumerate_skip_index(graph, fans: dict, build_fan, limit=None) -> Iterator[Mapping]:
+    """The DFS enumerator of both bitmask backends: output-linear delay over
+    a path-compressed forced-stretch skip index.
+
+    ``graph`` is an :class:`IndexedMatchGraph` (or subclass); it supplies
+    the live layers, the letter ids, the accepting fans, the guard, and the
+    per-graph skip index.  The substrate enters only through the fan memo
+    ``fans`` — probed with ``(profile, letter_id, live successor mask)``
+    — and the *fan builder* ``build_fan(profile, letter_id, layer)``, called
+    on a memo miss, which returns the canonical option fan: the distinct
+    ``(opset_id, live target mask)`` choices of ``profile`` at ``layer``
+    in opset rank order (storing it in ``fans`` is the builder's job, and
+    so is charging built rows to the guard's ``edge_rows`` budget).
+
+    A fan with a single empty-opset option is a *forced no-op stretch*:
+    nothing to record and nothing to choose until the next fan, operating
+    step, or the leaf.  The skip index maps ``(layer, profile)`` to that
+    event in one hop.  It crosses letter boundaries *and* profile changes
+    (a scanning profile may oscillate per letter), and path compression
+    means the first path to walk a forced suffix pays O(stretch) once
+    while every later path joins it within a few layers — so the steps
+    between two mappings do not grow with the document.  The index stops
+    growing at :data:`_SKIP_INDEX_LIMIT` entries; past it the walk steps
+    instead of hopping, with identical output.
+
+    Paths are parent-pointer arenas holding only *operating* steps, so a
+    leaf rebuilds its spans in O(captures) and emits through the trusted
+    :meth:`Mapping.from_arrays` constructor.  The guard is ticked per
+    layer step and per skip-index step.
+    """
+    if graph.is_empty or (limit is not None and limit <= 0):
+        return
+    indexed = graph.indexed
+    opsets, rank = indexed.opsets, indexed.opset_rank
+    programs = indexed.op_programs()
+    n = graph._n
+    final = graph.final
+    alive = graph.alive
+    letter_ids = graph.letter_ids
+    fskip = graph._forced_skips
+    skip_limit = _SKIP_INDEX_LIMIT
+    guard = graph._guard
+    emitted = 0
+    # Parent-pointer arenas: one slot per *operating* (non-empty opset)
+    # step — forced stretches and empty steps leave no trace.
+    node_pos: list[int] = []
+    node_oid: list[int] = []
+    node_parent: list[int] = []
+    stack: list[tuple[int, int, int]] = [(0, 1 << indexed.initial_id, -1)]
+    while stack:
+        layer, profile, parent = stack.pop()
+        while layer < n:
+            if guard is not None:
+                guard.tick()
+            lid = letter_ids[layer]
+            opts = fans.get((profile, lid, alive[layer + 1]))
+            if opts is None:
+                opts = build_fan(profile, lid, layer)
+            if len(opts) == 1:
+                oid, target = opts[0]
+                if not opsets[oid]:
+                    hop = fskip.get((layer, profile))
+                    if hop is None:
+                        walked = [(layer, profile)]
+                        hl, hp = layer + 1, target
+                        while hl < n:
+                            if guard is not None:
+                                guard.tick()
+                            step = (hl, hp)
+                            hop = fskip.get(step)
+                            if hop is not None:
+                                break
+                            hlid = letter_ids[hl]
+                            hopts = fans.get((hp, hlid, alive[hl + 1]))
+                            if hopts is None:
+                                hopts = build_fan(hp, hlid, hl)
+                            if len(hopts) != 1 or opsets[hopts[0][0]]:
+                                break
+                            walked.append(step)
+                            hl += 1
+                            hp = hopts[0][1]
+                        if hop is None:
+                            hop = (hl, hp)
+                        if len(fskip) < skip_limit:
+                            for step in walked:
+                                fskip[step] = hop
+                    layer, profile = hop
+                    continue
+            elif not opts:
+                break  # dead profile (unreachable on live layers)
+            else:
+                # Alternatives pushed in reverse rank so later pops walk
+                # them canonically; the rank-first option continues inline
+                # without a push/pop round-trip.
+                for oid, target in opts[:0:-1]:
+                    if opsets[oid]:
+                        node_pos.append(layer + 1)
+                        node_oid.append(oid)
+                        node_parent.append(parent)
+                        stack.append((layer + 1, target, len(node_pos) - 1))
+                    else:
+                        stack.append((layer + 1, target, parent))
+                oid, target = opts[0]
+            if opsets[oid]:
+                node_pos.append(layer + 1)
+                node_oid.append(oid)
+                node_parent.append(parent)
+                parent = len(node_pos) - 1
+            profile = target
+            layer += 1
+        else:
+            # Leaf (layer == n): canonical final fan over the profile's
+            # accepting states, spans rebuilt once from the parent chain
+            # and shared across the fan.
+            options_set: set[int] = set()
+            for sid in iter_bits(profile):
+                options_set.update(final.get(sid, ()))
+            chain: list[int] = []
+            p = parent
+            while p >= 0:
+                chain.append(p)
+                p = node_parent[p]
+            opened: dict[str, int] = {}
+            spans: dict[str, Span] = {}
+            for p in reversed(chain):
+                position = node_pos[p]
+                opens, closes = programs[node_oid[p]]
+                for var in opens:
+                    opened[var] = position
+                for var in closes:
+                    spans[var] = Span(opened.pop(var), position)
+            base_items = None
+            for foid in sorted(options_set, key=rank.__getitem__):
+                fopens, fcloses = programs[foid]
+                if fopens or fcloses:
+                    opened_f = dict(opened)
+                    spans_f = dict(spans)
+                    for var in fopens:
+                        opened_f[var] = n + 1
+                    for var in fcloses:
+                        spans_f[var] = Span(opened_f.pop(var), n + 1)
+                    yield Mapping.from_arrays(tuple(sorted(spans_f.items())))
+                else:
+                    if base_items is None:
+                        base_items = tuple(sorted(spans.items()))
+                    yield Mapping.from_arrays(base_items)
+                emitted += 1
+                if limit is not None and emitted >= limit:
+                    return
 
 
 def enumerate_indexed(

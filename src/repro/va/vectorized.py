@@ -12,8 +12,8 @@ numpy uint64 *state planes* plus an on-the-fly subset construction:
   covers 64 states at once.  Per-layer masks of a whole document pack into
   one ``(len(d) + 1, n_planes)`` uint64 array, so whole-document
   combinations (the reachable ∩ co-reachable intersection, layer
-  popcounts, the run-skip jump comparisons) are single vectorized ops
-  instead of ``len(d)`` Python-int operations.
+  popcounts, the layer-context dedup) are single vectorized ops instead
+  of ``len(d)`` Python-int operations.
 * **Successor-plane table** — :class:`VectorizedVA` precomputes an
   ``(alphabet, states, n_planes)`` uint64 table; one transition
   application is a gather of the frontier's state rows plus one
@@ -42,12 +42,13 @@ numpy uint64 *state planes* plus an on-the-fly subset construction:
 
 :class:`VectorizedMatchGraph` subclasses
 :class:`~repro.va.indexed.IndexedMatchGraph` so enumeration semantics are
-*inherited*, not re-implemented: the DFS, edge rows, and mapping
-reconstruction are the proven indexed code paths, fed by plane-backed
-``forward``/``alive``/``jump`` layers (unpacked to Python-int form exactly
-once, on demand).  :meth:`VectorizedMatchGraph.first` gets a dedicated
-walk that never materialises the alive layers at all: it prunes against
-interned co-reachability nodes and memoizes the greedy per-layer choice on
+*shared*, not re-implemented: both run the one skip-index DFS
+(:func:`~repro.va.indexed.enumerate_skip_index`), fed here by plane-backed
+``forward``/``alive`` layers (unpacked to Python-int form exactly
+once, on demand) and by option fans built from whole-column plane
+gathers.  :meth:`VectorizedMatchGraph.first` gets a dedicated walk that
+never materialises the alive layers at all: it prunes against interned
+co-reachability nodes and memoizes the greedy per-layer choice on
 ``(profile, letter, co-reach node)`` in a kernel-level (cross-document)
 cache.
 
@@ -74,10 +75,14 @@ from ..core.errors import (
     SpannerError,
 )
 from ..core.mapping import Mapping
-from ..core.spans import Span
 from ..utils.bits import iter_bits
 from .automaton import VA
-from .indexed import IndexedMatchGraph, IndexedVA, _mapping_from_entries
+from .indexed import (
+    IndexedMatchGraph,
+    IndexedVA,
+    _mapping_from_entries,
+    enumerate_skip_index,
+)
 from .properties import is_sequential
 
 try:  # pragma: no cover - exercised by the no-numpy CI leg
@@ -100,12 +105,13 @@ _NUMPY_HINT = (
 
 #: Default block budget of the batched enumeration path: the maximum
 #: number of distinct (letter, live-successor-mask) *layer contexts* a
-#: document may have before full enumeration falls back to the inherited
-#: scalar DFS.  Run-compressed dedup means real documents collapse to a
-#: handful of contexts (a 10k-letter run is one), so the budget only
-#: trips on adversarially heterogeneous documents where the batched row
-#: cache would churn.  Override per engine with ``enumeration_block_size``
-#: (``0`` disables batching outright — the scalar escape hatch).
+#: document may have before full enumeration switches the shared
+#: skip-index DFS to the scalar (per-graph row) fan builder.
+#: Run-compressed dedup means real documents collapse to a handful of
+#: contexts (a 10k-letter run is one), so the budget only trips on
+#: adversarially heterogeneous documents where the batched row cache
+#: would churn.  Override per engine with ``enumeration_block_size``
+#: (``0`` always selects the scalar fan builder).
 DEFAULT_ENUM_BLOCK_SIZE = 4096
 
 
@@ -476,10 +482,10 @@ class VectorizedKernel:
     ) -> tuple:
         """The canonical option fan of one batched DFS step: the distinct
         ``(opset_id, union live target)`` choices of ``profile`` at a
-        layer context, sorted by canonical opset rank — exactly the
-        ``options`` dict the inherited scalar DFS rebuilds per stack
-        frame, precomputed once per ``(profile, letter, live mask)`` and
-        memoized across documents."""
+        layer context, sorted by canonical opset rank — the fan the scalar
+        builder :meth:`IndexedMatchGraph._fan` assembles per graph,
+        precomputed once per ``(profile, letter, live mask)`` and memoized
+        across documents."""
         rows = self.batch_rows(letter_id, alive_row, alive_int)
         options: dict[int, int] = {}
         for sid in iter_bits(profile):
@@ -641,17 +647,17 @@ class VectorizedMatchGraph(IndexedMatchGraph):
 
     Construction runs only the adaptive Boolean forward frontier (enough
     for :attr:`is_empty`).  The per-layer forward masks, the backward
-    co-reachability pass, the run-skip jump table, and the layer gauges
-    are computed through the shared :class:`VectorizedKernel` and the
-    ``(len(d) + 1, n_planes)`` uint64 plane arrays; the reachable ∩
-    co-reachable intersection is one whole-document vectorized AND.
+    co-reachability pass, and the layer gauges are computed through the
+    shared :class:`VectorizedKernel` and the ``(len(d) + 1, n_planes)``
+    uint64 plane arrays; the reachable ∩ co-reachable intersection is one
+    whole-document vectorized AND.
 
-    Enumeration is *inherited* from :class:`IndexedMatchGraph` — the DFS,
-    edge rows, run-skipping, and mapping reconstruction are byte-for-byte
-    the indexed semantics, reading ``alive``/``jump`` through the
-    overridden properties (plane arrays unpacked to Python-int layers
-    once, on demand).  :meth:`first` never touches those layers: it walks
-    interned co-reachability nodes with a kernel-level greedy-choice memo.
+    Enumeration is the indexed backend's
+    :func:`~repro.va.indexed.enumerate_skip_index` loop with the kernel's
+    batched fan builder, reading ``alive`` through the overridden property
+    (plane arrays unpacked to Python-int layers once, on demand).
+    :meth:`first` never touches those layers: it walks interned
+    co-reachability nodes with a kernel-level greedy-choice memo.
     """
 
     __slots__ = (
@@ -662,7 +668,6 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         "_cnodes",
         "_block_size",
         "_layer_ctx",
-        "_forced_skips",
     )
 
     def __init__(
@@ -677,22 +682,17 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         self.indexed = indexed
         self.document = as_document(document)
         self._guard = guard
-        n = self._n = len(self.document)
-        self._letter_ids = None
-        self._forward = None
-        self._alive = None
-        self._jump = None
+        self._init_lazy(len(self.document))
         self._kernel = None  # the scalar-kernel slot of the base stays unused
         self._forward_planes = None
         self._alive_planes = None
         self._cnodes = None
         self._layer_ctx = None
-        self._forced_skips: dict = {}
         self._block_size = (
             DEFAULT_ENUM_BLOCK_SIZE if block_size is None else block_size
         )
         kernel = self._vkernel = vva.kernel()
-        self._runs = tuple(_encoded_runs(self.document.runs(), indexed.alphabet))
+        self._runs = None  # encoded on demand (see _encoded_runs_cached)
         mask = kernel.frontier(
             self.document, 1 << indexed.initial_id, guard=guard
         )
@@ -702,7 +702,6 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         self.final_mask = final_mask
         accept = indexed.accept
         self.final = {sid: accept[sid] for sid in iter_bits(final_mask)}
-        self._edges = [None] * n
 
     def extended(
         self, document: Document | str, guard=None
@@ -715,7 +714,7 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         nodes per appended letter, plane-power doubling when appended
         letters merge into the tail run.  Already-materialised prefix
         forward layers carry over; the plane arrays, co-reachability
-        nodes, jump table, and edge rows rebuild lazily (they are pruned
+        nodes, skip index, and edge rows rebuild lazily (they are pruned
         against the acceptance of the *new* final layer).  The *batched*
         edge rows and option fans live on the kernel, keyed by
         ``(letter, live mask)`` content rather than position — layer
@@ -738,21 +737,16 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         graph.indexed = indexed
         graph.document = doc
         graph._guard = guard
-        graph._n = n
-        graph._letter_ids = None
-        graph._forward = None
-        graph._alive = None
-        graph._jump = None
+        graph._init_lazy(n)
         graph._kernel = None
         graph._forward_planes = None
         graph._alive_planes = None
         graph._cnodes = None
         graph._layer_ctx = None
-        graph._forced_skips = {}
         graph._block_size = self._block_size
         kernel = graph._vkernel = self._vkernel
         ids_get = indexed.alphabet.ids.get
-        old_runs = self._runs
+        old_runs = self._encoded_runs_cached()
         keep = max(len(old_runs) - 1, 0)
         graph._runs = old_runs[:keep] + tuple(
             (ids_get(letter, -1), start, length)
@@ -793,8 +787,18 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         graph.final_mask = final_mask
         accept = indexed.accept
         graph.final = {sid: accept[sid] for sid in iter_bits(final_mask)}
-        graph._edges = [None] * n
         return graph
+
+    def _encoded_runs_cached(self) -> tuple:
+        """The document's runs with dense letter ids, encoded once on
+        demand — the node-walk frontier of a low-run document never needs
+        them, so construction (and ``first()``) does not pay O(runs)."""
+        runs = self._runs
+        if runs is None:
+            runs = self._runs = tuple(
+                _encoded_runs(self.document.runs(), self.indexed.alphabet)
+            )
+        return runs
 
     # -- plane-backed layer materialisation --------------------------------
 
@@ -812,7 +816,7 @@ class VectorizedMatchGraph(IndexedMatchGraph):
             mask_slot = kernel._mask_slot
             extend = kernel.extend
             node = kernel.node(mask)
-            for lid, start, length in self._runs:
+            for lid, start, length in self._encoded_runs_cached():
                 if guard is not None:
                     guard.check()
                 if lid < 0 or not node[mask_slot]:
@@ -847,8 +851,11 @@ class VectorizedMatchGraph(IndexedMatchGraph):
 
     def _coreach_nodes(self) -> "list[list]":
         """Interned co-reachability nodes per layer: the pure backward
-        recurrence ``C[i] = pred(C[i + 1])`` from the accepting layer,
-        with node-identity fixpoint slice fill inside runs."""
+        recurrence ``C[i] = pred(C[i + 1])`` from the accepting layer.
+        Adaptive like :meth:`VectorizedKernel.frontier`: a low-run document
+        steps one node slot per position over its cached letter ids; a
+        run-heavy one walks its runs with node-identity fixpoint slice
+        fill."""
         cnodes = self._cnodes
         if cnodes is None:
             kernel = self._vkernel
@@ -856,8 +863,21 @@ class VectorizedMatchGraph(IndexedMatchGraph):
             n = self._n
             node = kernel.pred_node(self.final_mask)
             cnodes = [node] * (n + 1)
-            if self.final_mask:
-                for lid, start, length in reversed(self._runs):
+            if not self.final_mask:
+                cnodes[:n] = [kernel.pred_node(0)] * n
+            elif n < kernel.RUN_COMPRESS_THRESHOLD * len(self.document.runs()):
+                ids = self.letter_ids
+                pred_extend = kernel.pred_extend
+                for i in range(n - 1, -1, -1):
+                    if guard is not None and not i & 4095:
+                        guard.check()
+                    lid = ids[i]
+                    nxt = node[lid]
+                    cnodes[i] = node = (
+                        nxt if nxt is not None else pred_extend(node, lid)
+                    )
+            else:
+                for lid, start, length in reversed(self._encoded_runs_cached()):
                     if guard is not None:
                         guard.check()
                     i = start + length - 1
@@ -872,8 +892,6 @@ class VectorizedMatchGraph(IndexedMatchGraph):
                             i = start
                         i -= 1
                         node = nxt
-            else:
-                cnodes[:n] = [kernel.pred_node(0)] * n
             self._cnodes = cnodes
         return cnodes
 
@@ -911,36 +929,11 @@ class VectorizedMatchGraph(IndexedMatchGraph):
     @property
     def alive(self) -> "list[int]":
         """Live masks per layer in int form (unpacked once, for the
-        inherited DFS and edge rows)."""
+        shared DFS and edge rows)."""
         alive = self._alive
         if alive is None:
             alive = self._alive = _masks_from_planes(self.alive_planes)
         return alive
-
-    @property
-    def jump(self) -> "list[int]":
-        """Run-skip destinations per layer (see the indexed base class),
-        built by vectorized comparisons instead of a per-layer scan."""
-        jump = self._jump
-        if jump is None:
-            np = NUMPY
-            n = self._n
-            if n <= 1:
-                jump = list(range(1, n + 1))
-            else:
-                ids = np.fromiter(self.letter_ids, dtype=np.int64, count=n)
-                alive = self.alive_planes
-                # extendable[i] (i < n-1): layer i+1 reads the same letter
-                # and sees the same live successor layer — jump through it.
-                extendable = np.zeros(n, dtype=bool)
-                extendable[: n - 1] = (ids[1:] == ids[:-1]) & (
-                    alive[2:] == alive[1:-1]
-                ).all(axis=1)
-                position = np.arange(n, dtype=np.int64)
-                breaks = np.where(extendable, n - 1, position)
-                jump = (np.minimum.accumulate(breaks[::-1])[::-1] + 1).tolist()
-            self._jump = jump
-        return jump
 
     # -- gauges -----------------------------------------------------------
 
@@ -956,32 +949,45 @@ class VectorizedMatchGraph(IndexedMatchGraph):
     # -- batched enumeration ----------------------------------------------
 
     def enumerate(self, limit: "int | None" = None) -> Iterator[Mapping]:
-        """DFS enumeration over *batched* edge rows (same mappings, same
-        canonical order, same polynomial delay as the inherited scalar
-        walk).
+        """DFS enumeration over *batched* edge rows: the shared
+        :func:`~repro.va.indexed.enumerate_skip_index` loop (same
+        mappings, same canonical order, same output-linear delay as the
+        ``indexed`` backend) with :meth:`VectorizedKernel.batch_options`
+        as its fan builder.
 
-        The scalar DFS rebuilds an options dict per stack frame from
-        per-(layer, state) edge rows.  Here each layer resolves to a
-        *context* ``(letter, live successor mask)`` whose full option fan
-        is materialised once by :meth:`VectorizedKernel.batch_options`
-        from a whole-column plane gather, then shared by every layer,
-        run repetition, and document that reproduces the context.  Paths
-        are parent-pointer arrays (three flat int lists) instead of
-        per-node tuples, and leaves emit through the trusted
-        :meth:`Mapping.from_arrays` bulk constructor.
+        Each layer resolves to a *context* ``(letter, live successor
+        mask)`` whose edge rows are materialised once from a whole-column
+        plane gather; the fans built from them are memoised on the kernel
+        and so shared by every layer, run repetition, and document that
+        reproduces the context.
 
-        Falls back to the inherited scalar walk when the document's
-        distinct contexts exceed the block budget (``block_size`` /
-        ``--enum-block``; ``0`` disables batching) — the context cache is
-        the memory cost, so wildly heterogeneous documents keep the lazy
-        per-edge path.
+        When the document's distinct contexts exceed the block budget
+        (``block_size`` / ``--enum-block``; ``0`` disables batching) the
+        same loop runs with the scalar fan builder of the ``indexed``
+        backend instead — the kernel's cross-document context cache is
+        the memory cost, so wildly heterogeneous documents keep per-graph
+        rows.
         """
         if self.is_empty or (limit is not None and limit <= 0):
             return iter(())
         block = self._block_size
         if block > 0 and self._distinct_contexts() <= block:
-            return self._enumerate_batched(limit)
+            kernel = self._vkernel
+            if self._guard is not None:
+                self._guard.gauge_cache_bytes(kernel.cache_bytes_estimate())
+            return enumerate_skip_index(
+                self, kernel.options_memo, self._batch_fan, limit
+            )
         return super().enumerate(limit=limit)
+
+    def _batch_fan(self, profile: int, letter_id: int, layer: int) -> tuple:
+        """The batched fan builder: one kernel fan per miss, charged as one
+        edge row (a batched layer context) to the guard."""
+        if self._guard is not None:
+            self._guard.charge_edge_rows(1)
+        return self._vkernel.batch_options(
+            profile, letter_id, self.alive_planes[layer + 1], self.alive[layer + 1]
+        )
 
     def _distinct_contexts(self) -> int:
         """Number of distinct ``(letter, live successor mask)`` layer
@@ -1014,169 +1020,6 @@ class VectorizedMatchGraph(IndexedMatchGraph):
             reps[inverse[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
             cached = self._layer_ctx = (inverse, reps)
         return cached
-
-    #: Entry cap of the forced-stretch skip index (see
-    #: :meth:`_enumerate_batched`): one entry per distinct
-    #: ``(layer, profile)`` pair inside a forced stretch, so the cap only
-    #: trips when the DFS genuinely visits that many distinct pairs — at
-    #: which point the index stops growing and the walk degrades to
-    #: stepping, never to incorrectness.
-    _SKIP_INDEX_LIMIT = 1 << 19
-
-    def _enumerate_batched(self, limit: "int | None") -> Iterator[Mapping]:
-        indexed = self.indexed
-        opsets, rank = indexed.opsets, indexed.opset_rank
-        programs = indexed.op_programs()
-        n = self._n
-        final = self.final
-        alive = self.alive
-        alive_planes = self.alive_planes
-        letter_ids = self.letter_ids
-        kernel = self._vkernel
-        omemo = kernel.options_memo
-        build_options = kernel.batch_options
-        fskip = self._forced_skips
-        skip_limit = self._SKIP_INDEX_LIMIT
-        guard = self._guard
-        if guard is not None:
-            guard.gauge_cache_bytes(kernel.cache_bytes_estimate())
-        emitted = 0
-        # Parent-pointer arenas: one slot per *operating* (non-empty
-        # opset) step — run stretches and empty steps leave no trace, so
-        # leaf reconstruction costs O(captures), not O(path).
-        node_pos: list[int] = []
-        node_oid: list[int] = []
-        node_parent: list[int] = []
-        stack: list[tuple[int, int, int]] = [
-            (0, 1 << indexed.initial_id, -1)
-        ]
-        while stack:
-            layer, profile, parent = stack.pop()
-            while layer < n:
-                if guard is not None:
-                    guard.tick()
-                lid = letter_ids[layer]
-                a_int = alive[layer + 1]
-                opts = omemo.get((profile, lid, a_int))
-                if opts is None:
-                    if guard is not None:
-                        guard.charge_edge_rows(1)
-                    opts = build_options(
-                        profile, lid, alive_planes[layer + 1], a_int
-                    )
-                if len(opts) == 1:
-                    oid, target = opts[0]
-                    if not opsets[oid]:
-                        # Forced no-op stretch: a single empty-opset
-                        # option means nothing to record and nothing to
-                        # choose until the next fan, operating step, dead
-                        # end, or the leaf.  The skip index maps
-                        # ``(layer, profile)`` to that event in one hop —
-                        # unlike the scalar walk's same-letter run-skip it
-                        # crosses letter boundaries *and* profile changes
-                        # (a scanning profile may oscillate per letter),
-                        # and path compression means the first path to
-                        # walk a forced suffix pays O(stretch) once while
-                        # every later path joins it within a few layers.
-                        hop = fskip.get((layer, profile))
-                        if hop is None:
-                            walked = [(layer, profile)]
-                            hl, hp = layer + 1, target
-                            while hl < n:
-                                if guard is not None:
-                                    guard.tick()
-                                hop = fskip.get((hl, hp))
-                                if hop is not None:
-                                    break
-                                hlid = letter_ids[hl]
-                                ha = alive[hl + 1]
-                                hopts = omemo.get((hp, hlid, ha))
-                                if hopts is None:
-                                    if guard is not None:
-                                        guard.charge_edge_rows(1)
-                                    hopts = build_options(
-                                        hp, hlid, alive_planes[hl + 1], ha
-                                    )
-                                if len(hopts) != 1 or opsets[hopts[0][0]]:
-                                    break
-                                walked.append((hl, hp))
-                                hl += 1
-                                hp = hopts[0][1]
-                            if hop is None:
-                                hop = (hl, hp)
-                            if len(fskip) < skip_limit:
-                                for step in walked:
-                                    fskip[step] = hop
-                        layer, profile = hop
-                        continue
-                elif not opts:
-                    break  # dead profile (unreachable on live layers)
-                else:
-                    # Alternatives pushed in reverse rank so later pops
-                    # walk them canonically; the rank-first option
-                    # continues inline without a push/pop round-trip.
-                    for oid, target in opts[:0:-1]:
-                        if opsets[oid]:
-                            node_pos.append(layer + 1)
-                            node_oid.append(oid)
-                            node_parent.append(parent)
-                            stack.append(
-                                (layer + 1, target, len(node_pos) - 1)
-                            )
-                        else:
-                            stack.append((layer + 1, target, parent))
-                    oid, target = opts[0]
-                if opsets[oid]:
-                    node_pos.append(layer + 1)
-                    node_oid.append(oid)
-                    node_parent.append(parent)
-                    parent = len(node_pos) - 1
-                profile = target
-                layer += 1
-            else:
-                # Leaf (layer == n): canonical final fan over the
-                # profile's accepting states, spans rebuilt once from the
-                # parent chain and shared across the fan.
-                options_set: set[int] = set()
-                mask = profile
-                while mask:
-                    low = mask & -mask
-                    options_set.update(final.get(low.bit_length() - 1, ()))
-                    mask ^= low
-                chain: list[int] = []
-                p = parent
-                while p >= 0:
-                    chain.append(p)
-                    p = node_parent[p]
-                opened: dict[str, int] = {}
-                spans: dict[str, Span] = {}
-                for p in reversed(chain):
-                    position = node_pos[p]
-                    opens, closes = programs[node_oid[p]]
-                    for var in opens:
-                        opened[var] = position
-                    for var in closes:
-                        spans[var] = Span(opened.pop(var), position)
-                base_items = None
-                for foid in sorted(options_set, key=rank.__getitem__):
-                    fopens, fcloses = programs[foid]
-                    if fopens or fcloses:
-                        opened_f = dict(opened)
-                        spans_f = dict(spans)
-                        for var in fopens:
-                            opened_f[var] = n + 1
-                        for var in fcloses:
-                            spans_f[var] = Span(opened_f.pop(var), n + 1)
-                        yield Mapping.from_arrays(
-                            tuple(sorted(spans_f.items()))
-                        )
-                    else:
-                        if base_items is None:
-                            base_items = tuple(sorted(spans.items()))
-                        yield Mapping.from_arrays(base_items)
-                    emitted += 1
-                    if limit is not None and emitted >= limit:
-                        return
 
     # -- first(): memoized greedy walk ------------------------------------
 

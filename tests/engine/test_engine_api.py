@@ -14,6 +14,7 @@ from repro import (
 )
 from repro.core import SpannerError
 from repro.engine import EngineStats, get_backend
+from repro.va import regex_to_va, trim
 
 
 def _query(engine=None):
@@ -80,6 +81,23 @@ class TestStatistics:
         assert delta.documents == stats.documents
         # The snapshot is independent of later activity.
         assert before.documents == 0
+
+    def test_graph_construction_counts_as_enumeration_time(self):
+        # Once the plan and the prepared automaton are cached, evaluating
+        # a document compiles nothing: building its match graph (the
+        # Boolean forward pass) is enumeration time, on every entry point.
+        engine = Engine()
+        formula = trim(regex_to_va(parse("(a|b)*x{(a|b)+}(a|b)*")))
+        list(engine.enumerate(formula, "ab"))
+        compile_before = engine.stats.compile_seconds
+        enumerate_before = engine.stats.enumerate_seconds
+        assert list(engine.enumerate(formula, "abab"))
+        assert engine.first(formula, "babb") is not None
+        session = engine.tail(formula)
+        assert session.reevaluate("ab")
+        assert session.reevaluate("ba")
+        assert engine.stats.compile_seconds == compile_before
+        assert engine.stats.enumerate_seconds > enumerate_before
 
     def test_summary_and_dict_round_trip(self):
         stats = EngineStats(documents=3, mappings=7, plan_hits=1)
