@@ -144,9 +144,13 @@ def apply_sync_difference(left: VA, right: VA, doc: Document) -> VA:
 
     Used by plans whose optimizer proved the subtrahend synchronized for
     the common variables; tractable for *unboundedly many* shared
-    variables, so no ``max_shared`` check applies here.
+    variables, so no ``max_shared`` check applies here.  The construction
+    emits its automaton already normalized (and indexed), so there is no
+    post-pass.  The engine's plan node keeps the document-independent
+    half (:class:`~repro.algebra.sync_difference.SyncDifference`) across
+    documents instead of calling this.
     """
-    return normalize(synchronized_difference(left, right, doc))
+    return synchronized_difference(left, right, doc)
 
 
 def check_shared(left: VA, right: VA, config: PlannerConfig, what: str) -> None:

@@ -253,7 +253,7 @@ class PreparedIndexedVA(PreparedVA):
     def __init__(self, va: VA, compressed: bool = True):
         _require_sequential(va)
         self.indexed = va.indexed()
-        self.va = self.indexed.va
+        self.va = va
         self.compressed = compressed
 
     def run(self, document: Document | str, guard=None) -> IndexedMatchGraph:
@@ -316,7 +316,7 @@ class PreparedVectorizedVA(PreparedVA):
     def __init__(self, va: VA, block_size: "int | None" = None):
         _require_sequential(va)
         self.vectorized = va.vectorized()
-        self.va = self.vectorized.va
+        self.va = va
         self.block_size = block_size
 
     def run(self, document: Document | str, guard=None) -> VectorizedMatchGraph:

@@ -51,11 +51,11 @@ from ..algebra.planner import (
     apply_difference,
     apply_join,
     apply_project,
-    apply_sync_difference,
     apply_union,
     materialise_blackbox,
 )
 from ..algebra.ra_tree import Instantiation, RANode
+from ..algebra.sync_difference import SyncDifference
 from ..core.document import Document
 from ..core.errors import SpannerError
 from ..core.mapping import Variable
@@ -230,20 +230,61 @@ class SyncDifferencePlanNode(DifferencePlanNode):
     (Theorem 4.8): the subtrahend was statically proven synchronized for
     the common variables, so the per-document build is polynomial without
     Theorem 5.2's ``max_shared`` bound — which is therefore deliberately
-    *not* enforced on this path."""
+    *not* enforced on this path.
 
-    __slots__ = ()
+    The document-independent half (:class:`SyncDifference`: operand
+    checks, projections, used-set components, factorizations) is computed
+    on the first :meth:`compile_for` — so its errors surface from the
+    same call as the per-document build — and kept while both children
+    are static; only the sweep runs per document."""
+
+    __slots__ = ("_operands",)
+
+    def __init__(self, left: PlanNode, right: PlanNode, config: PlannerConfig):
+        super().__init__(left, right, config)
+        self._operands: SyncDifference | None = None
+
+    def operands_for(self, doc: Document, stats: EngineStats) -> SyncDifference:
+        """The document-independent half, evaluated against this node's
+        children on ``doc``."""
+        left = self.left.compile_for(doc, stats)
+        right = self.right.compile_for(doc, stats)
+        if self._operands is not None:
+            return self._operands
+        operands = SyncDifference(left, right)
+        if self.left.is_static and self.right.is_static:
+            self._operands = operands
+        return operands
 
     def compile_for(self, doc: Document, stats: EngineStats) -> VA:
         stats.adhoc_compiles += 1
-        return apply_sync_difference(
-            self.left.compile_for(doc, stats),
-            self.right.compile_for(doc, stats),
-            doc,
-        )
+        return self.operands_for(doc, stats).compile(doc)
 
     def describe(self) -> str:
         return "∖ synchronized (Thm 4.8) [ad hoc]"
+
+
+class ProjectSyncDifferencePlanNode(ProjectNode):
+    """``π_keep`` fused into the synchronized difference below it: the
+    sweep decides survival on the full operation sets and emits only the
+    kept operations, so no projection, normalization or second
+    factorization runs per document.  The (possibly CSE-shared)
+    difference node is read, never modified."""
+
+    __slots__ = ()
+
+    child: SyncDifferencePlanNode
+
+    def children(self) -> tuple[PlanNode, ...]:
+        return self.child.children()
+
+    def compile_for(self, doc: Document, stats: EngineStats) -> VA:
+        stats.adhoc_compiles += 1
+        return self.child.operands_for(doc, stats).compile(doc, keep=self.keep)
+
+    def describe(self) -> str:
+        keep = ",".join(sorted(map(str, self.keep)))
+        return f"π[{keep}] ∘ ∖ synchronized (Thm 4.8) [ad hoc, fused]"
 
 
 class CompiledPlan:
@@ -536,6 +577,8 @@ def lower_logical(
                 return intern_static(
                     node.fingerprint, lambda: apply_project(child.va, node.keep)
                 )
+            if isinstance(child, SyncDifferencePlanNode):
+                return ProjectSyncDifferencePlanNode(child, node.keep)
             return ProjectNode(child, node.keep)
         if isinstance(node, (LUnion, LJoin)):
             lowered = [lower(child) for child in node.operands]

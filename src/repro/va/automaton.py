@@ -105,6 +105,8 @@ class VA:
         accepting: Iterable[State],
         transitions: Iterable[Transition],
         states: Iterable[State] = (),
+        *,
+        indexed: "IndexedVA | None" = None,
     ):
         trans = tuple(transitions)
         for _, label, _ in trans:
@@ -126,7 +128,7 @@ class VA:
         self._states = frozenset(all_states)
         self._out = {state: tuple(edges) for state, edges in out.items()}
         self._vars = frozenset(variables)
-        self._indexed: "IndexedVA | None" = None
+        self._indexed = indexed
         self._vectorized = None
         self._prefilter: "VAPrefilter | None" = None
         self._fingerprint: str | None = None
@@ -180,6 +182,9 @@ class VA:
         The indexed form is document independent; sharing it across
         documents amortises factorization and table building.  Requires a
         sequential automaton (checked by the enumeration entry points).
+        A producer that already holds the macro transitions may hand the
+        form over at construction (``VA(..., indexed=...)``); it must then
+        describe exactly this automaton's runs.
         """
         if self._indexed is None:
             from .indexed import IndexedVA

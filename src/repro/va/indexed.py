@@ -9,7 +9,9 @@ state), interns its letters into a dense :class:`~repro.core.document.Alphabet`,
 interns every operation set to a small integer, and precomputes, for every
 (letter id, state) pair, the grouped macro transitions as tuples of
 ``(opset_id, target_bitmask)`` plus an *aggregate successor mask* (the union
-of all targets, ignoring operation sets).
+of all targets, ignoring operation sets).  Producers that already hold the
+macro transitions — the synchronized difference of Theorem 4.8 — build the
+same tables directly through :meth:`IndexedVA.from_rows`.
 
 State *sets* are then Python integers used as bitsets, and documents are
 arrays of letter ids (cached on the :class:`~repro.core.document.Document`
@@ -52,7 +54,7 @@ documents; :meth:`VA.indexed` caches one per automaton.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..core.document import Alphabet, Document, as_document
 from ..core.errors import NotSequentialError, SpannerError
@@ -75,9 +77,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class IndexedVA:
     """Document-independent indexed form of a (sequential) VA.
 
+    The tables have one constructor, :meth:`from_rows`, which takes the
+    macro transitions ``source --(S, σ)--> target`` over dense state ids
+    and the accepting operation sets per state.  Two producers feed it:
+    ``IndexedVA(va)`` factorizes an automaton (trimmed first, states
+    numbered in BFS order from the initial state), and the synchronized
+    difference (:mod:`repro.algebra.sync_difference`) hands over the rows
+    its product sweep already computed.  The form keeps no reference to
+    the automaton it indexes, so caching it on that automaton
+    (:meth:`VA.indexed`) creates no reference cycle.
+
     Attributes:
-        factorized: the underlying factorization (shares closure caches).
-        n_states: number of live states after trimming.
+        n_states: number of states (dense ids ``0..n_states-1``).
         initial_id: dense id of the initial state (always 0).
         alphabet: the interned :class:`Alphabet` of the automaton's letters.
         opsets: interned operation sets; index = opset id.
@@ -94,12 +105,12 @@ class IndexedVA:
         accept: ``accept[state_id]`` is the tuple of accepting opset ids,
             canonically ordered.
         accept_mask: bitmask of states with at least one accepting opset.
+        opset_rank: canonical enumeration rank per opset id.
     """
 
     def __init__(self, va: VA, factorized: FactorizedVA | None = None):
         if factorized is None:
             factorized = FactorizedVA(va)
-        self.factorized = factorized
         tva = factorized.va  # trimmed
         order: dict[State, int] = {tva.initial: 0}
         queue = deque((tva.initial,))
@@ -110,73 +121,88 @@ class IndexedVA:
                     order[target] = len(order)
                     queue.append(target)
         # Trimming keeps only reachable states, so `order` covers them all.
-        self.n_states = len(order)
+        rows: list[tuple[int, str, OpSet, int]] = []
+        accepting: list[tuple[int, OpSet]] = []
+        for state, sid in order.items():
+            for ops, mid in factorized.closure(state):
+                for label, target in tva.transitions_from(mid):
+                    if isinstance(label, str):
+                        rows.append((sid, label, ops, order[target]))
+            for ops in factorized.accepting_opsets(state):
+                accepting.append((sid, ops))
+        self._build(len(order), rows, accepting)
+
+    @classmethod
+    def from_rows(
+        cls,
+        n_states: int,
+        rows: "Iterable[tuple[int, str, OpSet, int]]",
+        accepting: "Iterable[tuple[int, OpSet]]",
+    ) -> "IndexedVA":
+        """The indexed form of the automaton with states ``0..n_states-1``
+        (0 initial), macro transitions ``rows`` as ``(source, letter, S,
+        target)``, and accepting operation sets ``accepting`` as
+        ``(state, S)``.  Repeated rows are merged."""
+        indexed = cls.__new__(cls)
+        indexed._build(n_states, rows, accepting)
+        return indexed
+
+    def _build(self, n_states, rows, accepting) -> None:
+        self.n_states = n_states
         self.initial_id = 0
-        self.alphabet = Alphabet.of(tva.letters())
-        self.opsets: list[OpSet] = []
+        opsets: list[OpSet] = []
         opset_ids: dict[OpSet, int] = {}
 
         def intern(ops: OpSet) -> int:
             found = opset_ids.get(ops)
             if found is None:
-                found = opset_ids[ops] = len(self.opsets)
-                self.opsets.append(ops)
+                found = opset_ids[ops] = len(opsets)
+                opsets.append(ops)
             return found
 
-        states_by_id = sorted(order, key=order.__getitem__)
+        cells: dict[tuple[str, int], dict[int, int]] = {}
+        for source, letter, ops, target in rows:
+            oid = intern(ops)
+            cell = cells.get((letter, source))
+            if cell is None:
+                cell = cells[(letter, source)] = {}
+            cell[oid] = cell.get(oid, 0) | (1 << target)
+        final: dict[int, set[int]] = {}
+        for sid, ops in accepting:
+            final.setdefault(sid, set()).add(intern(ops))
+        self.opsets = opsets
+        self.empty_opset_id = opset_ids.get(EMPTY_OPSET, -1)
+        # Canonical enumeration rank per opset id (ids are interned in
+        # discovery order, which is not the canonical order).
+        ranked = sorted(range(len(opsets)), key=lambda oid: opset_sort_key(opsets[oid]))
+        rank = self.opset_rank = [0] * len(opsets)
+        for position, oid in enumerate(ranked):
+            rank[oid] = position
+        self.alphabet = Alphabet.of({letter for letter, _ in cells})
+        letter_id = self.alphabet.ids
         n_letters = len(self.alphabet)
         tables: list[list[tuple[tuple[int, int], ...]]] = [
-            [()] * self.n_states for _ in range(n_letters)
+            [()] * n_states for _ in range(n_letters)
         ]
-        successor_masks: list[list[int]] = [
-            [0] * self.n_states for _ in range(n_letters)
-        ]
-        accept: list[tuple[int, ...]] = [()] * self.n_states
+        successor_masks: list[list[int]] = [[0] * n_states for _ in range(n_letters)]
+        for (letter, sid), cell in cells.items():
+            lid = letter_id[letter]
+            entries = tuple(sorted(cell.items(), key=lambda kv: rank[kv[0]]))
+            tables[lid][sid] = entries
+            mask = 0
+            for _, target_mask in entries:
+                mask |= target_mask
+            successor_masks[lid][sid] = mask
+        accept: list[tuple[int, ...]] = [()] * n_states
         accept_mask = 0
-        letter_id = self.alphabet.ids.__getitem__
-        for state, sid in order.items():
-            grouped: dict[int, dict[int, int]] = {}
-            for ops, mid in factorized.closure(state):
-                for label, target in tva.transitions_from(mid):
-                    if isinstance(label, str):
-                        per_ops = grouped.setdefault(letter_id(label), {})
-                        oid = intern(ops)
-                        per_ops[oid] = per_ops.get(oid, 0) | (1 << order[target])
-            for lid, per_ops in grouped.items():
-                entries = tuple(
-                    sorted(per_ops.items(), key=lambda kv: opset_sort_key(self.opsets[kv[0]]))
-                )
-                tables[lid][sid] = entries
-                mask = 0
-                for _, target_mask in entries:
-                    mask |= target_mask
-                successor_masks[lid][sid] = mask
-            accept[sid] = tuple(
-                sorted(
-                    (intern(ops) for ops in factorized.accepting_opsets(state)),
-                    key=lambda oid: opset_sort_key(self.opsets[oid]),
-                )
-            )
-            if accept[sid]:
-                accept_mask |= 1 << sid
+        for sid, oids in final.items():
+            accept[sid] = tuple(sorted(oids, key=rank.__getitem__))
+            accept_mask |= 1 << sid
         self.tables = tables
         self.successor_masks = successor_masks
         self.accept = accept
         self.accept_mask = accept_mask
-        self.states_by_id = tuple(states_by_id)
-        self.empty_opset_id = opset_ids.get(EMPTY_OPSET, -1)
-        # Canonical enumeration rank per opset id (ids are interned in
-        # discovery order, which is not the canonical order).
-        ranked = sorted(range(len(self.opsets)), key=lambda oid: opset_sort_key(self.opsets[oid]))
-        self.opset_rank = [0] * len(self.opsets)
-        for rank, oid in enumerate(ranked):
-            self.opset_rank[oid] = rank
         self._kernel: "TransitionKernel | None" = None
-
-    @property
-    def va(self) -> VA:
-        """The trimmed automaton this form indexes."""
-        return self.factorized.va
 
     def kernel(self) -> "TransitionKernel":
         """The run-compressed transition kernel over this automaton

@@ -9,7 +9,14 @@ construction *above* — products are quadratic in the operand sizes, so
 keeping intermediates small compounds.
 
 :func:`normalize` composes the individual passes into the canonical
-post-composition cleanup the planner applies after every ``apply_*``:
+post-composition cleanup the planner applies after every ``apply_*`` but
+one: ``apply_sync_difference`` (Theorem 4.8) skips it, because
+:mod:`repro.algebra.sync_difference` trims its product nodes itself and
+emits a VA that is already in normal form — no ε-transitions (acceptance
+sits on chain ends, the components share one initial state), no dead or
+duplicate structure, and only operations that lie on accepting runs — so
+the pass would only rebuild an equal-size copy and drop the indexed form
+the construction attaches:
 
 1. :func:`drop_never_used_ops` — ε-out operations on variables that no
    accepting run extracts (before trimming, while there is still junk for

@@ -222,11 +222,6 @@ class VectorizedVA:
         self._letter_edges: dict[int, tuple] = {}
 
     @property
-    def va(self) -> VA:
-        """The trimmed automaton this form evaluates."""
-        return self.indexed.va
-
-    @property
     def alphabet(self):
         return self.indexed.alphabet
 

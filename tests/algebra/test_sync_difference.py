@@ -5,13 +5,27 @@ import random
 import pytest
 
 from repro.core import NotSynchronizedError
-from repro.regex import parse
-from repro.va import evaluate_naive, evaluate_va, is_sequential, regex_to_va, trim
+from repro.engine import available_backends, get_backend
+from repro.regex import concat, parse, sigma_star, sym, union
+from repro.va import (
+    IndexedMatchGraph,
+    IndexedVA,
+    evaluate_naive,
+    evaluate_va,
+    is_sequential,
+    normalize,
+    regex_to_va,
+    rename_variables,
+    trim,
+)
+from repro.va.operations import is_trim
 from repro.algebra import (
     SyncDifferenceStats,
     semantic_difference,
+    semantic_projection,
     synchronized_difference,
 )
+from repro.algebra.sync_difference import SyncDifference
 from repro.workloads import (
     random_sequential_formula,
     synchronized_block_formula,
@@ -113,8 +127,6 @@ class TestRandomizedAgainstSemantic:
         for _ in range(10):
             f1 = random_sequential_formula(1, rng, alphabet="ab", depth=2)
             # Rename the formula's variable to the shared name x1.
-            from repro.va import rename_variables
-
             a1 = trim(regex_to_va(f1))
             if a1.variables:
                 a1 = rename_variables(a1, {next(iter(a1.variables)): "x1"})
@@ -124,3 +136,63 @@ class TestRandomizedAgainstSemantic:
                 evaluate_naive(a1, doc), evaluate_va(subtrahend, doc)
             )
             assert evaluate_va(compiled, doc) == expected, (f1.to_text(), doc)
+
+    def test_emitted_form_is_normal_indexed_and_fuses_projection(self):
+        # Minuends ``f1 c f2`` sharing the block variables with the
+        # subtrahend; each half may skip its variable (several used-set
+        # components, whose initial nodes merge).
+        rng = random.Random(13)
+        subtrahend = compile_formula(synchronized_block_formula(2, alphabet="ab"))
+
+        def half(var):
+            f = random_sequential_formula(1, rng, alphabet="ab", depth=2)
+            f = parse(f.to_text().replace("v0", var))
+            if rng.random() < 0.7:
+                f = concat(sigma_star("ab"), f, sigma_star("ab"))
+            return union(f, sigma_star("ab")) if rng.random() < 0.5 else f
+
+        minuends = [compile_formula("(x1{[ab]*}|ε)c·x2{[ab]*}")]
+        while len(minuends) < 8:
+            minuends.append(compile_formula(concat(half("x1"), sym("c"), half("x2"))))
+        checked = nonempty = 0
+        for a1 in minuends:
+            operands = SyncDifference(a1, subtrahend)
+            for _ in range(4):
+                doc = "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+                doc += "c" + "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+                expected = semantic_difference(
+                    evaluate_naive(a1, doc), evaluate_va(subtrahend, doc)
+                )
+                out = synchronized_difference(a1, subtrahend, doc)
+                _check_normal(out)
+                _check_attached_indexed_form(out, doc, expected)
+                for keep in (frozenset(), frozenset({"x1"}), frozenset({"x2"}), a1.variables):
+                    fused = operands.compile(doc, keep=keep)
+                    _check_normal(fused)
+                    assert evaluate_va(fused, doc) == semantic_projection(expected, keep), (
+                        a1, doc, keep,
+                    )
+                checked += 1
+                nonempty += bool(expected)
+        assert nonempty >= checked // 4
+
+
+def _check_normal(out) -> None:
+    """The emitted automaton needs no normalization pass (an empty result
+    is the one-state automaton :func:`trim` itself returns)."""
+    assert is_trim(out) or (not out.accepting and out.n_states == 1)
+    assert all(label is not None for _, label, _ in out.transitions)
+    normal = normalize(out)
+    assert (normal.n_states, normal.n_transitions) == (out.n_states, out.n_transitions)
+
+
+def _check_attached_indexed_form(out, doc, expected) -> None:
+    """The indexed form handed over by the sweep enumerates what a fresh
+    factorization of the emitted VA does, on every substrate."""
+    fresh = set(IndexedMatchGraph(IndexedVA(out), doc).enumerate())
+    assert fresh == set(expected)
+    for name in ("indexed", "vectorized", "matchgraph"):
+        if name not in available_backends():
+            continue
+        prepared = get_backend(name).prepare(out)
+        assert set(prepared.run(doc).enumerate()) == fresh, (name, doc)

@@ -27,7 +27,11 @@ from repro.algebra.logical import (
 from repro.algebra.planner import compile_static_atom
 from repro.engine import EngineStats, SyncDifferencePlanNode, build_plan
 from repro.engine.optimizer import optimize
-from repro.engine.plan import DifferencePlanNode, StaticNode
+from repro.engine.plan import (
+    DifferencePlanNode,
+    ProjectSyncDifferencePlanNode,
+    StaticNode,
+)
 from repro.va import empty_va
 
 
@@ -265,6 +269,25 @@ class TestEngineIntegration:
         plain = self._difference_query(Engine(optimize=False))
         for doc in ("", "a", "ab", "abab", "bbab"):
             assert optimized.evaluate(doc) == plain.evaluate(doc)
+
+    def test_projection_fuses_into_sync_difference(self):
+        tree = Project(Difference(Leaf("a"), Leaf("c")), frozenset({"y"}))
+        inst = Instantiation(
+            spanners={
+                "a": parse("(a|b)*x{(a|b)+}(a|b)*y{b}(a|b)*"),
+                "c": parse("(a|b)*x{a}(a|b)*"),
+            }
+        )
+        engine = Engine()
+        plan = engine.prepare(RAQuery(tree, inst, engine=engine)).plan
+        assert isinstance(plan.root, ProjectSyncDifferencePlanNode)
+        assert plan.n_adhoc == 1
+        assert "π[y] ∘ ∖ synchronized (Thm 4.8) [ad hoc, fused]" in plan.explain()
+        plain = Engine(optimize=False)
+        for doc in ("", "ab", "abab", "aabba"):
+            assert RAQuery(tree, inst, engine=engine).evaluate(doc) == RAQuery(
+                tree, inst, engine=plain
+            ).evaluate(doc)
 
     def test_sync_lowering_lifts_max_shared_bound(self):
         # Theorem 4.8 needs no bound on the common variables, so the

@@ -1,6 +1,9 @@
 """The compiled-plan cache: static prefixes compile once, ad-hoc suffixes
 per document, and the engine's statistics expose which happened."""
 
+import gc
+import random
+
 import pytest
 
 from repro import (
@@ -21,8 +24,18 @@ from repro.algebra.planner import evaluate_ra
 from repro.engine.plan import (
     BlackboxNode,
     DifferencePlanNode,
+    ProjectSyncDifferencePlanNode,
     StaticNode,
+    SyncDifferencePlanNode,
     build_plan,
+)
+from repro.workloads import (
+    alpha_info,
+    alpha_recommendation,
+    alpha_student_mail,
+    alpha_student_phone,
+    alpha_uk_mail,
+    generate_students,
 )
 
 
@@ -195,3 +208,78 @@ class TestEngineMatchesPlanner:
             assert engine.evaluate(RAQuery(tree, inst), doc) == evaluate_ra(
                 tree, inst, doc
             )
+
+
+def _figure2(engine):
+    """π_xstdnt((αsm ⋈ αsp) \\ αnr) — Figure 2."""
+    tree = Project(Difference(Join(Leaf("sm"), Leaf("sp")), Leaf("nr")), "keep")
+    inst = Instantiation(
+        spanners={
+            "sm": alpha_student_mail(),
+            "sp": alpha_student_phone(),
+            "nr": alpha_recommendation(),
+        },
+        projections={"keep": frozenset({"xstdnt"})},
+    )
+    return RAQuery(tree, inst, PlannerConfig(max_shared=2), engine=engine)
+
+
+def _example24(engine):
+    """αinfo \\ αUKm — Example 2.4."""
+    inst = Instantiation(spanners={"info": alpha_info(), "uk": alpha_uk_mail()})
+    return RAQuery(Difference(Leaf("info"), Leaf("uk")), inst, engine=engine)
+
+
+def _rosters(count):
+    rng = random.Random(4)
+    return [
+        generate_students(8, rng, with_recommendation=0.3).text for _ in range(count)
+    ]
+
+
+class TestSyncDifferenceStaticHalf:
+    def test_student_queries_lower_to_sync_nodes(self):
+        engine = Engine()
+        figure2 = engine.prepare(_figure2(engine)).plan
+        assert isinstance(figure2.root, ProjectSyncDifferencePlanNode)
+        assert isinstance(figure2.root.child, SyncDifferencePlanNode)
+        example24 = engine.prepare(_example24(engine)).plan
+        assert isinstance(example24.root, SyncDifferencePlanNode)
+
+    def test_used_set_components_once_per_node(self, monkeypatch):
+        import repro.algebra.sync_difference as sync_difference
+
+        calls = []
+        original = sync_difference.used_set_components
+
+        def counting(va, shared):
+            calls.append(shared)
+            return original(va, shared)
+
+        monkeypatch.setattr(sync_difference, "used_set_components", counting)
+        for make in (_figure2, _example24):
+            calls.clear()
+            engine = Engine()
+            query = make(engine)
+            for doc in _rosters(3):
+                engine.evaluate(query, doc)
+            assert engine.stats.document_misses == 3
+            assert len(calls) == 1, make.__name__
+
+    def test_evaluation_leaves_no_cyclic_garbage(self):
+        # The ad-hoc automaton caches its indexed form; the indexed form
+        # must not point back at it, or every document leaves a cycle.
+        engine = Engine()
+        queries = (_figure2(engine), _example24(engine))
+        warm, *docs = _rosters(3)
+        for query in queries:
+            engine.evaluate(query, warm)
+        gc.collect()
+        gc.disable()
+        try:
+            for query in queries:
+                for doc in docs:
+                    assert engine.evaluate(query, doc) is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
